@@ -14,12 +14,18 @@
 #
 # Baseline comparison: after the suite run, if the committed baseline
 # BENCH_table1.json exists next to this script, the headline
-# BenchmarkTable1_RotatingPrefixDiscovery is re-run on its own at
+# BenchmarkTable1_RotatingPrefixDiscovery (pinned to one worker, as the
+# baseline was recorded) is re-run on its own at
 # BENCH_COMPARE_TIME iterations (a single 1x sample is too noisy to
 # gate on) and its mean ns/op must stay within 25% of the baseline or
 # the job fails. Baselines are machine-specific — refresh with
 #   BENCHTIME=5x BENCH='BenchmarkTable1|BenchmarkAdaptive' ./bench.sh BENCH_table1.json
 # when the perf trajectory moves legitimately (or on new hardware).
+#
+# Worker-scaling gate: when GOMAXPROCS >= 2, BenchmarkTable1_Workers'
+# workers=2 case must run at least 1.2x faster than workers=1 (medians
+# of three interleaved 3x runs each); on one CPU the gate prints a skip
+# line.
 #
 # The default suite pattern also covers the serving layer:
 # BenchmarkScentdQuery/{quiet,during-ingestion} records query round-trip
@@ -49,7 +55,8 @@ tmp=
 cmp=
 ck=
 wp=
-trap 'rm -f "$tmp" "$cmp" "$ck" "$wp"' EXIT
+sc=
+trap 'rm -f "$tmp" "$cmp" "$ck" "$wp" "$sc"' EXIT
 if [ -z "$out" ]; then
 	tmp=$(mktemp)
 	out=$tmp
@@ -158,5 +165,42 @@ if [ "${BENCH_COMPARE:-1}" != 0 ]; then
 		echo "bench compare: BenchmarkWirePPS $batch pps batched vs $single pps per-packet (>=5x) — ok" >&2
 	else
 		echo "wire pps gate skipped: benchmark missing from run" >&2
+	fi
+fi
+
+# Worker-scaling gate: a second scan worker must buy wall-clock speedup.
+# BenchmarkTable1_Workers' workers=1 and workers=2 cases run alternately,
+# three dedicated runs each, so drift on a shared box lands on both
+# sides; the workers=2 median must be at least 1.2x faster than the
+# workers=1 median. The gate needs two CPUs to mean anything, so on one
+# it prints a skip line instead.
+if [ "${BENCH_COMPARE:-1}" != 0 ]; then
+	procs=${GOMAXPROCS:-$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1)}
+	if [ "$procs" -ge 2 ]; then
+		sc=$(mktemp)
+		w1=
+		w2=
+		for run in 1 2 3; do
+			for workers in 1 2; do
+				go test -run '^$' -bench "^BenchmarkTable1_Workers\$/^workers=$workers\$" \
+					-benchtime 3x -json . >"$sc"
+				ns=$(bench_ns "BenchmarkTable1_Workers/workers=$workers" "$sc")
+				if [ "$workers" = 1 ]; then w1="$w1 $ns"; else w2="$w2 $ns"; fi
+			done
+		done
+		median() { printf '%s\n' $1 | sort -n | sed -n 2p; }
+		m1=$(median "$w1")
+		m2=$(median "$w2")
+		if [ -n "$m1" ] && [ -n "$m2" ]; then
+			if ! awk -v a="$m1" -v b="$m2" 'BEGIN{exit !(a >= 1.2 * b)}'; then
+				echo "bench regression: BenchmarkTable1_Workers workers=2 median $m2 ns/op is under 1.2x faster than workers=1 median $m1 ns/op (runs:$w1 /$w2)" >&2
+				exit 1
+			fi
+			echo "bench compare: BenchmarkTable1_Workers workers=2 median $m2 ns/op vs workers=1 median $m1 ns/op (>=1.2x) — ok" >&2
+		else
+			echo "worker scaling gate skipped: benchmark missing from run" >&2
+		fi
+	else
+		echo "worker scaling gate skipped: GOMAXPROCS=$procs, needs >= 2" >&2
 	fi
 fi

@@ -99,12 +99,17 @@ func mini(b *testing.B) *experiments.Study {
 
 // --- Table 1 & pipeline stage counts (§4) ---
 
+// BenchmarkTable1_RotatingPrefixDiscovery is the headline. It runs one
+// worker, the configuration the committed BENCH_table1.json baseline
+// was recorded at, so bench.sh's 25% gate compares like with like on a
+// runner of any width; BenchmarkTable1_Workers measures scaling.
 func BenchmarkTable1_RotatingPrefixDiscovery(b *testing.B) {
-	benchTable1(b, 0, false) // Workers = GOMAXPROCS
+	benchTable1(b, 1, false)
 }
 
 // BenchmarkTable1_Workers pins the worker count, quantifying the
-// parallel engine's scaling against the one-worker baseline.
+// parallel engine's scaling against the one-worker baseline; bench.sh
+// gates workers=2 at 1.2x the workers=1 speed when GOMAXPROCS >= 2.
 func BenchmarkTable1_Workers(b *testing.B) {
 	for _, workers := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
@@ -118,9 +123,10 @@ func BenchmarkTable1_Workers(b *testing.B) {
 // arms it: a Progress tracker recording every worker's high-water
 // position plus the quarantine failure policy. Progress marks cost one
 // uncontended padded atomic store per probe, so bench.sh gates this
-// benchmark's mean within 5% of the unarmed headline.
+// benchmark's mean within 5% of the unarmed headline, at the same one
+// worker.
 func BenchmarkTable1_WithCheckpointing(b *testing.B) {
-	benchTable1(b, 0, true)
+	benchTable1(b, 1, true)
 }
 
 func benchTable1(b *testing.B, workers int, checkpointing bool) {

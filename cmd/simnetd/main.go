@@ -109,5 +109,5 @@ func main() {
 		log.Fatalf("serving: %v", err)
 	}
 	probes, resps := w.Stats()
-	fmt.Printf("simnetd: handled %d probes, %d responses\n", probes, resps)
+	fmt.Printf("simnetd: served %d probe datagrams, answered %d\n", probes, resps)
 }

@@ -16,7 +16,9 @@ import (
 // address, it re-finds the device after prefix rotation by probing one
 // target per inferred-allocation-size block across the device's inferred
 // rotation pool (the Figure 2 search-space reduction), stopping as soon
-// as a response carries the target IID.
+// as a response carries the target IID. Each day's scan runs one worker,
+// whatever Scanner.Config.Workers says, so TrackDay.ProbesSent is the
+// same on every run.
 type Tracker struct {
 	Scanner *zmap.Scanner
 	RIB     *bgp.Table
@@ -121,8 +123,14 @@ func (t *Tracker) Step(ctx context.Context, st *TrackState, day int, salt uint64
 	scanCtx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
+	// One worker: a tracking day stops at the first hit, and its probe
+	// count is reproducible only for a sequential walk. Parallel workers
+	// overshoot the find by however far each gets before it sees the
+	// cancellation, which depends on scheduling.
+	sc := *t.Scanner
+	sc.Config.Workers = 1
 	var found atomic.Value // ip6.Addr
-	stats, err := t.Scanner.Scan(scanCtx, ts, salt, func(r zmap.Result) {
+	stats, err := sc.Scan(scanCtx, ts, salt, func(r zmap.Result) {
 		if IID(r.From.IID()) == st.IID {
 			found.CompareAndSwap(nil, r.From)
 			cancel() // stop probing: the device is located

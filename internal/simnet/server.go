@@ -25,6 +25,9 @@ import (
 // world's observable behavior is bit-identical whether probes arrive
 // singly or in batches. Only the syscall count differs.
 //
+// Every datagram read and every response HandlePacket generates is
+// counted into World.Stats.
+//
 // timescale > 0 advances the virtual clock by timescale seconds per real
 // second while serving (0 keeps time frozen).
 func (w *World) ServeUDP(ctx context.Context, conn *net.UDPConn, timescale float64) error {
@@ -163,11 +166,13 @@ func (w *World) ServeUDP(ctx context.Context, conn *net.UDPConn, timescale float
 			}
 			return fmt.Errorf("simnet: udp read: %w", err)
 		}
+		resps := 0
 		for i := 0; i < n; i++ {
 			resp, ok := w.HandlePacket(bufs[i][:sizes[i]], respLanes[lane][:0])
 			if !ok {
 				continue
 			}
+			resps++
 			respLanes[lane] = resp
 			dup, reorder := w.LinkFate(resp)
 			if reorder && held == nil {
@@ -183,6 +188,12 @@ func (w *World) ServeUDP(ctx context.Context, conn *net.UDPConn, timescale float
 			enqueue(resp, &peers[i], dup)
 			enqueueHeld()
 		}
+		// World.Stats is counted here, once per stride, rather than in
+		// HandlePacket: the in-process loopback calls HandlePacket from
+		// every scan worker, and a per-probe shared counter there is a
+		// cache line every worker writes.
+		w.statProbes.Add(uint64(n))
+		w.statResps.Add(uint64(resps))
 		if err := flushOut(); err != nil {
 			if ctx.Err() != nil {
 				return nil

@@ -65,7 +65,7 @@ func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
 			}
 			salt := uint64(id)<<16 | uint64(seq)
 			var resp Response
-			if !w.queryCounted(&resp, modalityEcho, p.Header.Dst, int(p.Header.HopLimit), salt) {
+			if !w.query(&resp, modalityEcho, p.Header.Dst, int(p.Header.HopLimit), salt) {
 				return buf, false
 			}
 			if resp.Echo {
@@ -100,7 +100,7 @@ func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
 		}
 		salt := uint64(sport)<<16 | uint64(dport)
 		var resp Response
-		if !w.queryCounted(&resp, modalityUDP, h.Dst, int(h.HopLimit), salt) {
+		if !w.query(&resp, modalityUDP, h.Dst, int(h.HopLimit), salt) {
 			return buf, false
 		}
 		if resp.Echo {
@@ -135,7 +135,7 @@ func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
 		}
 		salt := uint64(th.SrcPort)<<16 | uint64(th.DstPort)
 		var resp Response
-		if !w.queryCounted(&resp, modalityTCP, h.Dst, int(h.HopLimit), salt) {
+		if !w.query(&resp, modalityTCP, h.Dst, int(h.HopLimit), salt) {
 			return buf, false
 		}
 		if resp.Echo {
@@ -160,7 +160,6 @@ func (w *World) HandlePacket(req []byte, buf []byte) ([]byte, bool) {
 // at all, Silent devices answer too: an edge that filters ICMPv6 Echo
 // still cannot opt out of neighbor resolution.
 func (w *World) answerSolicitation(p *icmp6.Packet, buf []byte) ([]byte, bool) {
-	w.statProbes.Add(1)
 	if p.Header.HopLimit != icmp6.NDPHopLimit {
 		return buf, false
 	}
@@ -174,7 +173,6 @@ func (w *World) answerSolicitation(p *icmp6.Packet, buf []byte) ([]byte, bool) {
 	if !w.neighbor(target) {
 		return buf, false
 	}
-	w.statResps.Add(1)
 	return icmp6.AppendNeighborAdvertisement(buf, target, p.Header.Src, target,
 		icmp6.NAFlagSolicited|icmp6.NAFlagOverride), true
 }
@@ -192,7 +190,6 @@ func (w *World) answerSolicitation(p *icmp6.Packet, buf []byte) ([]byte, bool) {
 // path): one report names a full 128-bit address the prober never had
 // to guess.
 func (w *World) answerMLDQuery(req []byte, buf []byte) ([]byte, bool) {
-	w.statProbes.Add(1)
 	var p icmp6.Packet
 	if err := p.UnmarshalMLD(req); err != nil {
 		return buf, false
@@ -222,7 +219,6 @@ func (w *World) answerMLDQuery(req []byte, buf []byte) ([]byte, bool) {
 	if !ok {
 		return buf, false
 	}
-	w.statResps.Add(1)
 	return icmp6.AppendMLDv2Report(buf, wan, icmp6.AllMLDv2Routers,
 		[]ip6.Addr{ip6.SolicitedNode(wan)}), true
 }

@@ -29,7 +29,8 @@ type World struct {
 	// scan workers hitting different devices never contend on one lock.
 	rate [rateStripes]rateStripe
 
-	// Counters on the probe hot path: updated lock-free.
+	// Wire-server counters, bumped once per ServeUDP recvmmsg stride;
+	// the per-probe paths count nothing.
 	statProbes atomic.Uint64
 	statResps  atomic.Uint64
 
@@ -592,7 +593,10 @@ func (w *World) ProviderByASN(asn uint32) (*Provider, bool) {
 	return nil, false
 }
 
-// Stats returns the total probes answered and responses generated.
+// Stats returns what the wire server (ServeUDP) handled: datagrams
+// received and responses generated. Probes answered in process
+// (HandlePacket, Query, the zmap loopback) are not counted here; a
+// scan's own zmap.Stats already reports them.
 func (w *World) Stats() (probes, responses uint64) {
 	return w.statProbes.Load(), w.statResps.Load()
 }
@@ -901,20 +905,8 @@ type Response struct {
 // dropped (no route, filtering, silent device, loss, or rate limiting).
 func (w *World) Query(target ip6.Addr, hopLimit int, salt uint64) (Response, bool) {
 	var r Response
-	ok := w.queryCounted(&r, modalityEcho, target, hopLimit, salt)
+	ok := w.query(&r, modalityEcho, target, hopLimit, salt)
 	return r, ok
-}
-
-// queryCounted is the accounting wrapper shared by Query and the wire
-// path: out-parameter form so the per-probe hot path moves one Response
-// instead of two.
-func (w *World) queryCounted(r *Response, m probeModality, target ip6.Addr, hopLimit int, salt uint64) bool {
-	w.statProbes.Add(1)
-	if !w.query(r, m, target, hopLimit, salt) {
-		return false
-	}
-	w.statResps.Add(1)
-	return true
 }
 
 // query answers into r (an out-parameter so the hot path moves one

@@ -1,7 +1,9 @@
 package simnet
 
 import (
+	"context"
 	"math/rand"
+	"net"
 	"testing"
 	"time"
 
@@ -605,12 +607,78 @@ func TestValidateRejects(t *testing.T) {
 	}
 }
 
+// TestStats pins World.Stats to what the wire server handled: every
+// datagram ServeUDP read (answered, dropped or malformed) and every
+// response it generated, which in this world, with no duplicating
+// link, is every response it wrote. In-process probes count nothing.
 func TestStats(t *testing.T) {
 	w := TestWorld(12)
-	w.Query(ip6.MustParseAddr("2a00:dead::1"), 64, 0) // unrouted: no resp
+	pool := testPool(t, w, 65001, 0)
+	w.Query(pool.Block(0).RandomAddr(1, 2), 64, 0)
+	if probes, resps := w.Stats(); probes != 0 || resps != 0 {
+		t.Fatalf("in-process probe counted: stats = %d/%d", probes, resps)
+	}
+
+	conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() { done <- w.ServeUDP(ctx, conn, 0) }()
+	client, err := net.DialUDP("udp", nil, conn.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer client.Close()
+
+	// N echo probes over the pool (some answered, some not), one
+	// malformed datagram, and last a Neighbor Solicitation for a live
+	// WAN address: NDP is never lost, so its advertisement marks the
+	// moment the server has read every earlier datagram.
+	const n = 32
+	src := ip6.MustParseAddr("2a01::53")
+	var dgrams [][]byte
+	for i := 0; i < n; i++ {
+		target := pool.Block(uint64(i)%pool.Blocks()).RandomAddr(uint64(i), 7)
+		dgrams = append(dgrams, icmp6.AppendEchoRequest(nil, src, target, 1, uint16(i), nil))
+	}
+	dgrams = append(dgrams, []byte{0x60, 0, 0})
+	c := &pool.cpes[0]
+	now := w.Clock().Now()
+	wan := pool.wanAddr(c, pool.blockAt(c, now), now)
+	dgrams = append(dgrams, icmp6.AppendNeighborSolicitation(nil, ip6.MustParseAddr("fe80::53"), wan))
+	for _, p := range dgrams {
+		if _, err := client.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	written := 0
+	buf := make([]byte, 2048)
+	_ = client.SetReadDeadline(time.Now().Add(10 * time.Second))
+	for {
+		m, err := client.Read(buf)
+		if err != nil {
+			t.Fatalf("after %d responses: %v", written, err)
+		}
+		written++
+		var p icmp6.Packet
+		if p.Unmarshal(buf[:m]) == nil && p.Message.Type == icmp6.TypeNeighborAdvertisement {
+			break
+		}
+	}
+	cancel()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
 	probes, resps := w.Stats()
-	if probes != 1 || resps != 0 {
-		t.Fatalf("stats = %d/%d", probes, resps)
+	if probes != uint64(len(dgrams)) || resps != uint64(written) {
+		t.Fatalf("stats = %d/%d, want %d datagrams read / %d responses written", probes, resps, len(dgrams), written)
+	}
+	if echoes := written - 1; echoes == 0 || echoes > n {
+		t.Fatalf("%d responses to %d echo probes", echoes, n)
 	}
 }
 

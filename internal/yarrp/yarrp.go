@@ -57,14 +57,9 @@ type Config struct {
 	Cooldown time.Duration
 }
 
-// Stats summarizes a sweep.
-type Stats struct {
-	Sent     uint64
-	Received uint64
-	Matched  uint64
-	Invalid  uint64
-	SendTime time.Duration // wall time of the send phase, as zmap.Stats
-}
+// Stats summarizes a sweep: a sweep is a zmap scan, so its counters are
+// the engine's.
+type Stats = zmap.Stats
 
 // Handler consumes hops. Calls are serialized by the engine's merge
 // stage, as with zmap.Handler.
@@ -188,8 +183,7 @@ func Trace(ctx context.Context, tr zmap.Transport, ts zmap.TargetSet, cfg Config
 	if err != nil {
 		return Stats{}, err
 	}
-	st, err := zmap.Scan(ctx, tr, ts, zcfg, hopHandler(h))
-	return Stats(st), err
+	return zmap.Scan(ctx, tr, ts, zcfg, hopHandler(h))
 }
 
 // TraceWorkers runs a multi-worker sweep: cfg.Workers workers (0 means
@@ -208,8 +202,7 @@ func TraceSource(ctx context.Context, factory zmap.TransportFactory, src zmap.Ta
 	if err != nil {
 		return Stats{}, err
 	}
-	st, err := zmap.ScanSource(ctx, factory, src, zcfg, hopHandler(h))
-	return Stats(st), err
+	return zmap.ScanSource(ctx, factory, src, zcfg, hopHandler(h))
 }
 
 // validationID is the sweep's per-target validation field. (Kept as the

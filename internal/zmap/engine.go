@@ -191,7 +191,7 @@ func ScanSource(ctx context.Context, factory TransportFactory, src TargetSource,
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
-	e := &engine{cfg: cfg, src: src, handler: h, abort: cancel}
+	e := &engine{cfg: cfg, src: src, handler: h, abort: cancel, stats: make([]workerStats, cfg.Workers)}
 	e.raw, _ = cfg.Module.(RawValidator)
 	switch p := cfg.Failure.(type) {
 	case nil, AbortAll:
@@ -311,13 +311,31 @@ func ScanSource(ctx context.Context, factory TransportFactory, src TargetSource,
 			err = &PartialError{Checkpoint: cp, WorkerErrs: e.qerrs}
 		}
 	}
-	return Stats{
-		Sent:     e.sent.Load(),
-		Received: e.received.Load(),
-		Matched:  e.matched.Load(),
-		Invalid:  e.invalid.Load(),
-		SendTime: sendTime,
-	}, err
+	st := Stats{SendTime: sendTime}
+	for i := range e.stats {
+		ws := &e.stats[i]
+		st.Sent += ws.sent.Load()
+		st.Received += ws.received.Load()
+		st.Matched += ws.matched.Load()
+		st.Invalid += ws.invalid.Load()
+	}
+	return st, err
+}
+
+// workerStats is one worker's hot-path counters. Every probe bumps
+// them, so no two workers may share a cache line: shared counters make
+// each probe pull the line from whichever core wrote it last, and a
+// second worker then buys no speedup (TestScanStatsWorkerInvariance
+// pins the per-worker sums to the one-worker totals). sent sits on its
+// own line because on the asynchronous path the worker's sender and
+// receiver are separate goroutines. The padding follows paddedMark.
+// The counters stay atomic so a live reader can sum them mid-scan.
+type workerStats struct {
+	sent atomic.Uint64
+	_    [56]byte
+
+	received, matched, invalid atomic.Uint64
+	_                          [40]byte
 }
 
 // engine is the shared state of one scan's worker pool.
@@ -333,7 +351,7 @@ type engine struct {
 	quarantine bool          // record dead workers instead of aborting
 	prog       *Progress     // per-worker high-water marks; may be nil
 
-	sent, received, matched, invalid atomic.Uint64
+	stats []workerStats // indexed by worker
 
 	errMu sync.Mutex
 	err   error
@@ -416,6 +434,7 @@ func (e *engine) send(ctx context.Context, w int, tr Transport, ex Exchanger) {
 		pacer = newPacer(0)
 	}
 	prober := cfg.Module.NewProber(cfg, w)
+	ws := &e.stats[w]
 	respBuf := make([]byte, 0, 2048)
 	var pkt icmp6.Packet
 	done := ctx.Done()
@@ -466,13 +485,15 @@ func (e *engine) send(ctx context.Context, w int, tr Transport, ex Exchanger) {
 			if consumed++; consumed <= skip {
 				continue
 			}
+			// Pace before sending, so no probe leaves ahead of its slot.
+			pacer.wait()
 			sendBuf := prober.MakeProbe(target, pos, attempt)
 			if ex != nil {
 				resp, ok := ex.Exchange(sendBuf, respBuf[:0])
-				e.sent.Add(1)
+				ws.sent.Add(1)
 				if ok {
 					respBuf = resp
-					e.received.Add(1)
+					ws.received.Add(1)
 					e.deliver(w, &pkt, resp)
 				}
 			} else {
@@ -488,7 +509,7 @@ func (e *engine) send(ctx context.Context, w int, tr Transport, ex Exchanger) {
 					}
 					return
 				}
-				e.sent.Add(1)
+				ws.sent.Add(1)
 			}
 			// The mark is stored only after the probe reached the
 			// transport, so a checkpoint never claims unsent work — the
@@ -497,7 +518,6 @@ func (e *engine) send(ctx context.Context, w int, tr Transport, ex Exchanger) {
 			if e.prog != nil {
 				e.prog.mark(w, attempt, consumed)
 			}
-			pacer.wait()
 		}
 		closeStream(st)
 		if e.prog != nil {
@@ -519,6 +539,7 @@ func closeStream(st Stream) {
 // each packet and handing results to the merge stage.
 func (e *engine) receive(w int, tr Transport) {
 	buf := make([]byte, 64<<10)
+	ws := &e.stats[w]
 	var pkt icmp6.Packet
 	for {
 		m, err := tr.Recv(buf)
@@ -531,11 +552,11 @@ func (e *engine) receive(w int, tr Transport) {
 			if err != io.EOF {
 				// Transport failure: surface through stats only; the
 				// sender side will also fail if it matters.
-				e.invalid.Add(1)
+				ws.invalid.Add(1)
 			}
 			return
 		}
-		e.received.Add(1)
+		ws.received.Add(1)
 		e.deliver(w, &pkt, buf[:m])
 	}
 }
@@ -633,21 +654,24 @@ func (e *engine) sendBatchPass(ctx context.Context, w int, bt BatchTransport, st
 	poll := 0
 	var consumed uint64
 	done := ctx.Done()
+	ws := &e.stats[w]
 	flush := func() error {
 		n := ring.n
 		if n == 0 {
 			return nil
 		}
+		// Pace before sending: each batch waits for its own slot, so a
+		// scan opens with one batch per worker, the burst Rate allows.
+		pc.waitN(n)
 		err := e.sendBatchRetry(ctx, bt, ring.pkts[:n])
 		ring.n = 0
 		if err != nil {
 			return err
 		}
-		e.sent.Add(uint64(n))
+		ws.sent.Add(uint64(n))
 		if e.prog != nil {
 			e.prog.mark(w, attempt, consumed)
 		}
-		pc.waitN(n)
 		return nil
 	}
 	for {
@@ -724,11 +748,12 @@ func (e *engine) receiveBatch(w int, bt BatchTransport) {
 		bufs[i] = backing[i*laneSize : (i+1)*laneSize]
 	}
 	sizes := make([]int, batch)
+	ws := &e.stats[w]
 	var pkt icmp6.Packet
 	for {
 		n, err := bt.RecvBatch(bufs, sizes)
+		ws.received.Add(uint64(n))
 		for i := 0; i < n; i++ {
-			e.received.Add(1)
 			e.deliver(w, &pkt, bufs[i][:sizes[i]])
 		}
 		if err != nil {
@@ -736,7 +761,7 @@ func (e *engine) receiveBatch(w int, bt BatchTransport) {
 				continue
 			}
 			if err != io.EOF {
-				e.invalid.Add(1)
+				ws.invalid.Add(1)
 			}
 			return
 		}
@@ -757,10 +782,10 @@ func (e *engine) deliver(w int, pkt *icmp6.Packet, b []byte) {
 		res, ok = e.raw.ValidateRaw(&e.cfg, b)
 	}
 	if !ok {
-		e.invalid.Add(1)
+		e.stats[w].invalid.Add(1)
 		return
 	}
-	e.matched.Add(1)
+	e.stats[w].matched.Add(1)
 	if e.handler != nil {
 		res.Worker = w
 		e.handler(res)

@@ -119,6 +119,54 @@ func TestScanLoopbackEndToEnd(t *testing.T) {
 	}
 }
 
+// garbleResponder answers every probe: the targets echoResponder
+// leaves silent get two bytes that fail parsing, so a scan moves all
+// four Stats counters.
+type garbleResponder struct{}
+
+func (garbleResponder) HandlePacket(req, buf []byte) ([]byte, bool) {
+	if resp, ok := (echoResponder{}).HandlePacket(req, buf); ok {
+		return resp, true
+	}
+	return append(buf, 0xde, 0xad), true
+}
+
+// TestScanStatsWorkerInvariance pins the per-worker counters' sums to
+// the one-worker totals: Sent/Received/Matched/Invalid are identical at
+// workers 1, 2 and 4, per-packet and batched, on the synchronous
+// Exchanger path and on the asynchronous sender/receiver pair (the
+// wrapper hides Exchange).
+func TestScanStatsWorkerInvariance(t *testing.T) {
+	ts := testTargets(t)
+	run := func(workers, batch int, async bool) Stats {
+		var tr Transport = NewLoopback(garbleResponder{}, 0)
+		if async {
+			tr = struct{ Transport }{tr}
+		}
+		st, err := Scan(context.Background(), tr, ts,
+			Config{Source: vantage, Seed: 5, Workers: workers, Batch: batch}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.SendTime = 0
+		return st
+	}
+	want := run(1, 0, false)
+	if want.Sent != ts.Len() || want.Received != want.Sent ||
+		want.Matched+want.Invalid != want.Received || want.Matched == 0 || want.Invalid == 0 {
+		t.Fatalf("one-worker baseline %+v: want every one of %d probes answered, some matched, some invalid", want, ts.Len())
+	}
+	for _, workers := range []int{1, 2, 4} {
+		for _, batch := range []int{0, 64} {
+			for _, async := range []bool{false, true} {
+				if got := run(workers, batch, async); got != want {
+					t.Errorf("workers=%d batch=%d async=%v: stats %+v, want %+v", workers, batch, async, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestScanFindsEUIAddresses(t *testing.T) {
 	w := simnet.TestWorld(22)
 	p, _ := w.ProviderByASN(65001)
