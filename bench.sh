@@ -31,10 +31,12 @@
 # BenchmarkScentdQuery/{quiet,during-ingestion} records query round-trip
 # cost against a populated scentd store with and without a concurrent
 # ingestion writer, so the JSON artifact carries the snapshot-isolation
-# overhead next to the Table 1 headline. BenchmarkDefenseMatrix runs
-# the full modality x defense matrix (DESIGN.md §11) and logs its
-# headline, so the artifact also records the defense scorecard's shape
-# (worlds/cells metrics plus the headline Output line).
+# overhead next to the Table 1 headline; BenchmarkScentdCommit/days={1,8,32}
+# records one day commit's ns/op and B/op against the store's size.
+# BenchmarkDefenseMatrix runs the full modality x defense matrix
+# (DESIGN.md §11) and logs its headline, so the artifact also records
+# the defense scorecard's shape (worlds/cells metrics plus the headline
+# Output line).
 #
 # BenchmarkCampaignCoordinated (DESIGN.md §13) measures coordinator
 # overhead: one coordinated campaign day over a live UDP world at 1 and

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime"
 	"sync"
@@ -992,6 +993,45 @@ func BenchmarkScentdQuery(b *testing.B) {
 		close(stop)
 		<-writerDone
 	})
+}
+
+// BenchmarkScentdCommit measures one day's ingestion through
+// DayIngest.Commit (merge, journal append and fsync, snapshot publish)
+// onto a store already holding 1, 8 and 32 days. A commit that copies
+// the whole corpus grows with the day count; one that costs O(day)
+// stays flat. Each iteration rebuilds the store untimed, so every timed
+// commit lands on a corpus of the same size; the untimed refill
+// dominates wall time, so run it at a fixed -benchtime Nx.
+func BenchmarkScentdCommit(b *testing.B) {
+	const devices = 1024
+	rib := bgp.New()
+	rib.Insert(bgp.Route{Prefix: ip6.MustParsePrefix("2001:16b8::/32"), ASN: 8881, Country: "DE"})
+	for _, held := range []int{1, 8, 32} {
+		b.Run(fmt.Sprintf("days=%d", held), func(b *testing.B) {
+			b.ReportAllocs()
+			path := filepath.Join(b.TempDir(), "commit.journal")
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				st, err := scentd.OpenStore(path, rib)
+				if err != nil {
+					b.Fatal(err)
+				}
+				for day := 0; day < held; day++ {
+					if err := scentdBenchDay(st, day, devices); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if err := scentdBenchDay(st, held, devices); err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				st.Close()
+				os.Remove(path)
+				b.StartTimer()
+			}
+		})
+	}
 }
 
 // BenchmarkAblation_PoolWidening measures the §6 "motivated adversary"

@@ -61,7 +61,7 @@ func (c *Corpus) AllocationSamples(day int) []AllocationSample {
 			}
 			if b := spanBits(d.MinTargetHi, d.MaxTargetHi); b > best {
 				best = b
-				asn = c.asnOfLocked(rec, d)
+				asn = d.ASN
 			}
 		}
 		if best >= 0 {
@@ -131,7 +131,7 @@ func (c *Corpus) PrefixesPerIID() []int {
 	defer c.mu.RUnlock()
 	out := make([]int, 0, len(c.iids))
 	for _, iid := range c.sortedIIDsLocked() {
-		out = append(out, len(c.iids[iid].prefixes))
+		out = append(out, c.iids[iid].prefixes)
 	}
 	return out
 }
@@ -146,26 +146,17 @@ func (c *Corpus) sortedIIDsLocked() []IID {
 	return out
 }
 
-// asnOfLocked attributes one day-observation to an AS.
-func (c *Corpus) asnOfLocked(rec *IIDRecord, d *DayObs) uint32 {
-	if r, ok := c.rib.Lookup(d.Resp); ok {
-		return r.ASN
-	}
-	return 0
-}
-
-// primaryASNLocked is the AS an IID was seen in on the most days.
+// primaryASNLocked is the AS an IID was seen in on the most days,
+// ties to the lowest ASN. A single-AS record — nearly every one — is
+// answered without allocating.
 func (c *Corpus) primaryASNLocked(rec *IIDRecord) uint32 {
+	if asn, ok := rec.singleASN(); ok {
+		return asn
+	}
 	var best uint32
 	bestDays := -1
-	// Deterministic tie-break: lowest ASN wins.
-	asns := make([]uint32, 0, len(rec.ASDays))
-	for asn := range rec.ASDays {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool { return asns[i] < asns[j] })
-	for _, asn := range asns {
-		if n := len(rec.ASDays[asn]); n > bestDays {
+	for asn, days := range rec.daysByAS() {
+		if n := len(days); n > bestDays || (n == bestDays && asn < best) {
 			best, bestDays = asn, n
 		}
 	}

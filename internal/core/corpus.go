@@ -11,6 +11,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -31,33 +32,69 @@ type DayObs struct {
 	MinTargetHi, MaxTargetHi uint64
 	// Count is how many probes Resp answered that day.
 	Count int
+	// ASN is Resp's origin AS (0 if unrouted), attributed at commit.
+	ASN uint32
 }
 
 // IIDRecord accumulates everything the campaign learned about one EUI-64
-// interface identifier.
+// interface identifier. Commits only ever append to Days and never
+// rewrite an element, so a Snapshot shares the committed prefix of the
+// slice instead of copying it.
 type IIDRecord struct {
 	IID  IID
 	Days []DayObs // chronological; multiple entries per day possible
 	// MinRespHi/MaxRespHi bound the upper-64 bits of every response
 	// address ever seen for this IID — Algorithm 2's input.
 	MinRespHi, MaxRespHi uint64
-	// PrefixCount is the number of distinct /64 prefixes the IID was
-	// observed in (Figure 8).
-	prefixes map[uint64]struct{}
-	// ASDays counts observation days per origin AS (§5.5 pathologies).
-	ASDays map[uint32]map[int]struct{}
+	// prefixes is the number of distinct /64 prefixes in Days.
+	prefixes int
 }
 
-// PrefixCount returns the number of distinct /64s the IID appeared in.
-func (r *IIDRecord) PrefixCount() int { return len(r.prefixes) }
+// PrefixCount returns the number of distinct /64s the IID appeared in
+// (Figure 8).
+func (r *IIDRecord) PrefixCount() int { return r.prefixes }
 
 // ASNs returns the origin ASes the IID was observed in, sorted.
 func (r *IIDRecord) ASNs() []uint32 {
-	out := make([]uint32, 0, len(r.ASDays))
-	for asn := range r.ASDays {
+	if asn, ok := r.singleASN(); ok {
+		return []uint32{asn}
+	}
+	byAS := r.daysByAS()
+	out := make([]uint32, 0, len(byAS))
+	for asn := range byAS {
 		out = append(out, asn)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// singleASN reports the origin AS of every observation when they all
+// share one — the common case, answered without allocating.
+func (r *IIDRecord) singleASN() (uint32, bool) {
+	if len(r.Days) == 0 {
+		return 0, false
+	}
+	asn := r.Days[0].ASN
+	for i := 1; i < len(r.Days); i++ {
+		if r.Days[i].ASN != asn {
+			return 0, false
+		}
+	}
+	return asn, true
+}
+
+// daysByAS maps each origin AS to the distinct days the IID was
+// observed in it, sorted ascending (§5.5 pathologies).
+func (r *IIDRecord) daysByAS() map[uint32][]int {
+	out := map[uint32][]int{}
+	for i := range r.Days {
+		d := &r.Days[i]
+		out[d.ASN] = append(out[d.ASN], d.Day)
+	}
+	for asn, days := range out {
+		slices.Sort(days)
+		out[asn] = slices.Compact(days)
+	}
 	return out
 }
 
@@ -155,55 +192,63 @@ func (s *ScanDay) AddProbes(n uint64) {
 	s.c.mu.Unlock()
 }
 
-// Commit merges the day's aggregation into the corpus.
-func (s *ScanDay) Commit() {
+// Commit merges the day's aggregation into the corpus and returns the
+// merged observations sorted by (IID, response address) — the order a
+// journal day segment lists them in (WriteDaySegment). It only appends
+// to each record's Days, which is what lets snapshots share them.
+func (s *ScanDay) Commit() []DayObs {
 	c := s.c
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.days[s.day] = struct{}{}
 	// Deterministic merge order (map iteration is randomized).
-	keys := make([]dayKey, 0, len(s.agg))
-	for k := range s.agg {
-		keys = append(keys, k)
+	merged := make([]DayObs, 0, len(s.agg))
+	for _, obs := range s.agg {
+		merged = append(merged, *obs)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].iid != keys[j].iid {
-			return keys[i].iid < keys[j].iid
+	sort.Slice(merged, func(i, j int) bool {
+		a, b := merged[i].Resp, merged[j].Resp
+		if ia, ib := a.IID(), b.IID(); ia != ib {
+			return ia < ib
 		}
-		return keys[i].resp.Less(keys[j].resp)
+		return a.Less(b)
 	})
-	for _, k := range keys {
-		obs := s.agg[k]
-		rec, ok := c.iids[k.iid]
+	for i := range merged {
+		obs := &merged[i]
+		if r, ok := c.rib.Lookup(obs.Resp); ok {
+			obs.ASN = r.ASN
+		}
+		iid := IID(obs.Resp.IID())
+		hi := obs.Resp.High64()
+		rec, ok := c.iids[iid]
 		if !ok {
-			rec = &IIDRecord{
-				IID:       k.iid,
-				MinRespHi: obs.Resp.High64(),
-				MaxRespHi: obs.Resp.High64(),
-				prefixes:  make(map[uint64]struct{}),
-				ASDays:    make(map[uint32]map[int]struct{}),
-			}
-			c.iids[k.iid] = rec
+			rec = &IIDRecord{IID: iid, MinRespHi: hi, MaxRespHi: hi}
+			c.iids[iid] = rec
+		}
+		if !rec.seenPrefix(hi) {
+			rec.prefixes++
 		}
 		rec.Days = append(rec.Days, *obs)
-		hi := obs.Resp.High64()
 		if hi < rec.MinRespHi {
 			rec.MinRespHi = hi
 		}
 		if hi > rec.MaxRespHi {
 			rec.MaxRespHi = hi
 		}
-		rec.prefixes[hi] = struct{}{}
-		asn := uint32(0)
-		if r, ok := c.rib.Lookup(obs.Resp); ok {
-			asn = r.ASN
-		}
-		if rec.ASDays[asn] == nil {
-			rec.ASDays[asn] = make(map[int]struct{})
-		}
-		rec.ASDays[asn][s.day] = struct{}{}
 	}
 	s.agg = nil
+	return merged
+}
+
+// seenPrefix reports whether any observation already lies in the /64
+// whose upper 64 bits are hi.
+func (r *IIDRecord) seenPrefix(hi uint64) bool {
+	for i := range r.Days {
+		if r.Days[i].Resp.High64() == hi {
+			return true
+		}
+	}
+	return false
 }
 
 // Lookup returns the record for an IID.

@@ -18,8 +18,10 @@ import (
 //   - v2 is the append-friendly journal incremental ingestion needs:
 //     a header line, then self-contained per-day segments (day-local
 //     counter deltas plus that day's observations, closed by an
-//     `endday` marker). SaveDay appends one segment; a serving store
-//     appends a segment per committed day and never rewrites history.
+//     `endday` marker). WriteDaySegment writes one segment from the
+//     observations ScanDay.Commit just merged, so journaling a day
+//     costs O(day); a serving store appends a segment per committed
+//     day and never rewrites history.
 //
 // The EUI-64 observation records are persisted exactly; the global
 // probe/response counters are carried as scalars (per-day deltas in
@@ -59,9 +61,7 @@ func (c *Corpus) Save(w io.Writer) error {
 	for _, iid := range c.sortedIIDsLocked() {
 		rec := c.iids[iid]
 		for i := range rec.Days {
-			d := &rec.Days[i]
-			fmt.Fprintf(bw, "obs %016x %d %s %016x %016x %d\n",
-				uint64(iid), d.Day, d.Resp, d.MinTargetHi, d.MaxTargetHi, d.Count)
+			writeObs(bw, &rec.Days[i])
 		}
 	}
 	if err := bw.Flush(); err != nil {
@@ -71,7 +71,7 @@ func (c *Corpus) Save(w io.Writer) error {
 }
 
 // WriteCorpusJournalHeader starts a v2 journal: the header line every
-// SaveDay segment appends after.
+// day segment appends after.
 func WriteCorpusJournalHeader(w io.Writer) error {
 	if _, err := fmt.Fprintln(w, corpusMagicV2); err != nil {
 		return fmt.Errorf("core: writing journal header: %w", err)
@@ -88,28 +88,20 @@ type DaySegmentMeta struct {
 	NewTotalAddrs, NewEUIAddrs int
 }
 
-// SaveDay appends one self-contained v2 journal segment: the given
-// day's counter deltas and every observation committed for that day.
-// The segment is closed by an `endday` marker — a torn tail (crash
-// mid-append) is recognizable and discarded on load.
-func (c *Corpus) SaveDay(w io.Writer, day int, meta DaySegmentMeta) error {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
+// WriteDaySegment appends one self-contained v2 journal segment: the
+// day's counter deltas and its observations, in the order given — the
+// (IID, response address) order ScanDay.Commit returns them in, which
+// is the order a whole-corpus walk would list them. The segment is
+// closed by an `endday` marker — a torn tail (crash mid-append) is
+// recognizable and discarded on load.
+func WriteDaySegment(w io.Writer, day int, meta DaySegmentMeta, obs []DayObs) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "day %d\n", day)
 	fmt.Fprintf(bw, "probes %d\n", meta.Probes)
 	fmt.Fprintf(bw, "responses %d\n", meta.Responses)
 	fmt.Fprintf(bw, "newaddrs %d %d\n", meta.NewTotalAddrs, meta.NewEUIAddrs)
-	for _, iid := range c.sortedIIDsLocked() {
-		rec := c.iids[iid]
-		for i := range rec.Days {
-			d := &rec.Days[i]
-			if d.Day != day {
-				continue
-			}
-			fmt.Fprintf(bw, "obs %016x %d %s %016x %016x %d\n",
-				uint64(iid), d.Day, d.Resp, d.MinTargetHi, d.MaxTargetHi, d.Count)
-		}
+	for i := range obs {
+		writeObs(bw, &obs[i])
 	}
 	fmt.Fprintf(bw, "endday %d\n", day)
 	if err := bw.Flush(); err != nil {
@@ -118,11 +110,19 @@ func (c *Corpus) SaveDay(w io.Writer, day int, meta DaySegmentMeta) error {
 	return nil
 }
 
+// writeObs writes one observation's `obs` line, the record both formats
+// share. A record's IID is its responses' IID, so the line carries it
+// from the response address.
+func writeObs(w io.Writer, d *DayObs) {
+	fmt.Fprintf(w, "obs %016x %d %s %016x %016x %d\n",
+		d.Resp.IID(), d.Day, d.Resp, d.MinTargetHi, d.MaxTargetHi, d.Count)
+}
+
 // SaveSnap writes the corpus's entire committed history as one v2 snap
 // segment: the sorted day set, the accumulated counters, and every
 // observation, closed by an `endsnap` marker. A journal rewritten as
 // header + snap segment (Store.Compact) replays to exactly the corpus
-// the original day-by-day journal does, and stays appendable — SaveDay
+// the original day-by-day journal does, and stays appendable — day
 // segments follow it for the days after the compaction horizon. A
 // corpus with no committed days writes nothing.
 func (c *Corpus) SaveSnap(w io.Writer) error {
@@ -152,9 +152,7 @@ func (c *Corpus) SaveSnap(w io.Writer) error {
 	for _, iid := range c.sortedIIDsLocked() {
 		rec := c.iids[iid]
 		for i := range rec.Days {
-			d := &rec.Days[i]
-			fmt.Fprintf(bw, "obs %016x %d %s %016x %016x %d\n",
-				uint64(iid), d.Day, d.Resp, d.MinTargetHi, d.MaxTargetHi, d.Count)
+			writeObs(bw, &rec.Days[i])
 		}
 	}
 	fmt.Fprintln(bw, "endsnap")
@@ -164,12 +162,12 @@ func (c *Corpus) SaveSnap(w io.Writer) error {
 	return nil
 }
 
-// LoadCorpus reads a corpus saved by Save (v1) or appended by SaveDay
-// segments (v2), re-deriving every index (prefix sets, AS attribution,
-// response spans) against the corpus's RIB. Loading into a non-empty
-// corpus is idempotent per day: observations (and, in v2, counters)
-// for days already present are skipped, so re-ingesting the same day
-// never double-counts. A v2 journal's trailing segment missing its
+// LoadCorpus reads a corpus saved by Save (v1) or a journal of day and
+// snap segments (v2), re-deriving every index (prefix counts, AS
+// attribution, response spans) against the corpus's RIB. Loading into
+// a non-empty corpus is idempotent per day: observations (and, in v2,
+// counters) for days already present are skipped, so re-ingesting the
+// same day never double-counts. A v2 journal's trailing segment missing its
 // `endday` marker (a torn append) is silently discarded — the day was
 // never committed.
 func LoadCorpus(src io.Reader, c *Corpus) error {
@@ -349,8 +347,8 @@ func loadV2(sc *bufio.Scanner, c *Corpus) error {
 	line := 1
 	have := existingDays(c)
 	type segment struct {
-		day  int          // day segment; -1 for a snap segment
-		days []int        // snap: its sorted day set
+		day  int   // day segment; -1 for a snap segment
+		days []int // snap: its sorted day set
 		meta DaySegmentMeta
 		sd   *ScanDay         // day segment's aggregation
 		sds  map[int]*ScanDay // snap segment's, keyed by day

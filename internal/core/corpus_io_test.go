@@ -235,6 +235,14 @@ func TestSnapshotIsolatedFromIngestion(t *testing.T) {
 	ingestFixtureDay(c, 0, 4)
 	snap := c.Snapshot()
 	want := corpusFingerprint(t, snap.Corpus())
+	// Device 0 is re-observed on days 1 and 2, so live commits append
+	// to the record whose observations the snapshot shares.
+	dev := core.IID(fixtureAddr(0, 0).IID())
+	frozen, ok := snap.Corpus().Lookup(dev)
+	if !ok {
+		t.Fatal("snapshot misses device 0")
+	}
+	wantSeries := fmt.Sprint(snap.Corpus().TimeSeries(dev))
 
 	ingestFixtureDay(c, 1, 4)
 	ingestFixtureDay(c, 2, 4)
@@ -255,5 +263,43 @@ func TestSnapshotIsolatedFromIngestion(t *testing.T) {
 	census := snap.VendorCensus(ip6.Prefix{})
 	if len(census) != 1 || census[0].Devices != 4 {
 		t.Errorf("census = %+v, want one OUI with 4 devices", census)
+	}
+
+	// The shared record's derived views are those of day 0 alone, while
+	// the live record has moved on to three /64s.
+	if live, _ := c.Lookup(dev); live.PrefixCount() != 3 {
+		t.Fatalf("live device 0 PrefixCount = %d, want 3", live.PrefixCount())
+	}
+	if n := frozen.PrefixCount(); n != 1 {
+		t.Errorf("snapshot PrefixCount = %d after later days, want 1", n)
+	}
+	if asns := frozen.ASNs(); len(asns) != 1 || asns[0] != 8881 {
+		t.Errorf("snapshot ASNs = %v, want [8881]", asns)
+	}
+	if got := fmt.Sprint(snap.Corpus().TimeSeries(dev)); got != wantSeries {
+		t.Errorf("snapshot TimeSeries changed: %s, want %s", got, wantSeries)
+	}
+	// Negatives: a known IID under a /64 it answered from only after
+	// the snapshot, one under a /64 it never answered from, and a
+	// non-EUI-64 address.
+	for _, a := range []ip6.Addr{fixtureAddr(0, 1), fixtureAddr(0, 5), ip6.MustParseAddr("2001:16b8:100::1")} {
+		if iid, ok := snap.Observed(a); ok {
+			t.Errorf("Observed(%s) = %016x, true; want false", a, uint64(iid))
+		}
+	}
+
+	// A record with spare capacity: the next live append writes into
+	// the backing array a snapshot taken now shares, past its end.
+	snap2 := c.Snapshot()
+	want2 := corpusFingerprint(t, snap2.Corpus())
+	if live, _ := c.Lookup(dev); cap(live.Days) == len(live.Days) {
+		t.Fatalf("device 0 has no spare capacity (len %d); the append below would not share memory", len(live.Days))
+	}
+	ingestFixtureDay(c, 3, 4)
+	if got := corpusFingerprint(t, snap2.Corpus()); got != want2 {
+		t.Error("second snapshot changed after an append into its shared array")
+	}
+	if _, ok := snap2.Observed(fixtureAddr(0, 3)); ok {
+		t.Error("second snapshot resolves an address first seen after it was taken")
 	}
 }

@@ -40,7 +40,7 @@ func Homogeneity(c *Corpus, reg *oui.Registry, minIIDs int) []HomogeneityEntry {
 			// so they cannot inflate any single vendor's share.
 			vendor = fmt.Sprintf("unknown:%s", mac.OUI())
 		}
-		for asn := range rec.ASDays {
+		for _, asn := range rec.ASNs() {
 			if perAS[asn] == nil {
 				perAS[asn] = map[string]int{}
 			}

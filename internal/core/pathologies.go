@@ -30,18 +30,12 @@ func (c *Corpus) MultiASIIDs() []MultiASIID {
 	var out []MultiASIID
 	for _, iid := range c.sortedIIDsLocked() {
 		rec := c.iids[iid]
-		if len(rec.ASDays) < 2 {
+		if _, ok := rec.singleASN(); ok {
 			continue
 		}
-		m := MultiASIID{IID: iid, DaysByAS: map[uint32][]int{}}
-		for asn, days := range rec.ASDays {
+		m := MultiASIID{IID: iid, DaysByAS: rec.daysByAS()}
+		for asn := range m.DaysByAS {
 			m.ASNs = append(m.ASNs, asn)
-			ds := make([]int, 0, len(days))
-			for d := range days {
-				ds = append(ds, d)
-			}
-			sort.Ints(ds)
-			m.DaysByAS[asn] = ds
 		}
 		sort.Slice(m.ASNs, func(i, j int) bool { return m.ASNs[i] < m.ASNs[j] })
 		// Same-day presence in distinct ASes?

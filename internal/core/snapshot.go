@@ -8,19 +8,19 @@ import (
 	"followscent/internal/ip6"
 )
 
-// Snapshot is an immutable, self-contained view of a Corpus at one
-// ingestion boundary: a deep copy of every record plus the derived
-// indexes the serving layer queries (address → device, OUI → vendor
-// population, per-AS allocation/pool inferences). A Snapshot is safe
-// for unlimited concurrent readers while the originating Corpus keeps
-// ingesting — nothing in it aliases live corpus state — and every
-// answer it gives is byte-identical to the batch computation over the
-// day set it captured, because it *is* that batch computation over a
-// frozen copy.
+// Snapshot is an immutable view of a Corpus at one ingestion boundary
+// plus the derived indexes the serving layer queries (OUI → vendor
+// population, per-AS allocation/pool inferences). It shares committed
+// observations with the live corpus: commits only append to a record's
+// Days, and the snapshot holds each slice capped at the length it had,
+// so nothing it reads is ever written again. A Snapshot is therefore
+// safe for unlimited concurrent readers while the originating Corpus
+// keeps ingesting, and every answer it gives is byte-identical to the
+// batch computation over the day set it captured, because it *is* that
+// batch computation over a frozen view.
 type Snapshot struct {
-	c      *Corpus // frozen: never mutated after Snapshot returns
-	days   []int
-	byAddr map[ip6.Addr]IID
+	c    *Corpus // frozen: never mutated after Snapshot returns
+	days []int
 
 	// Per-AS inferences are derived lazily (once per snapshot): most
 	// commits never see a `pools` query before the next snapshot
@@ -30,11 +30,12 @@ type Snapshot struct {
 	poolByAS  map[uint32]int
 }
 
-// Snapshot deep-copies the corpus into an immutable view. The copy
-// holds the counter totals, every IID record, and the day set; the
-// per-address uniqueness sets are folded into counters (exactly as
-// Save persists them), so a snapshot costs O(records), not O(unique
-// addresses).
+// Snapshot freezes the corpus into an immutable view. It copies the
+// counter totals, the day set and every record header, but shares each
+// record's committed observations rather than copying them, so a
+// snapshot costs O(records), not O(observations). The per-address
+// uniqueness sets are folded into counters (exactly as Save persists
+// them).
 func (c *Corpus) Snapshot() *Snapshot {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
@@ -50,40 +51,22 @@ func (c *Corpus) Snapshot() *Snapshot {
 		loadedTotalAddrs: len(c.totalAddrs) + c.loadedTotalAddrs,
 		loadedEUIAddrs:   len(c.euiAddrs) + c.loadedEUIAddrs,
 	}
-	byAddr := make(map[ip6.Addr]IID)
+	slab := make([]IIDRecord, 0, len(c.iids))
 	for iid, rec := range c.iids {
-		nr := &IIDRecord{
-			IID:       rec.IID,
-			Days:      append([]DayObs(nil), rec.Days...),
-			MinRespHi: rec.MinRespHi,
-			MaxRespHi: rec.MaxRespHi,
-			prefixes:  make(map[uint64]struct{}, len(rec.prefixes)),
-			ASDays:    make(map[uint32]map[int]struct{}, len(rec.ASDays)),
-		}
-		for p := range rec.prefixes {
-			nr.prefixes[p] = struct{}{}
-		}
-		for asn, days := range rec.ASDays {
-			nd := make(map[int]struct{}, len(days))
-			for d := range days {
-				nd[d] = struct{}{}
-			}
-			nr.ASDays[asn] = nd
-		}
+		slab = append(slab, *rec)
+		nr := &slab[len(slab)-1]
+		// Capped at its length: a later append to the live record can
+		// never write into memory this view reads.
+		nr.Days = rec.Days[:len(rec.Days):len(rec.Days)]
 		cl.iids[iid] = nr
-		for i := range nr.Days {
-			byAddr[nr.Days[i].Resp] = iid
-		}
 	}
+	days := make([]int, 0, len(c.days))
 	for d := range c.days {
 		cl.days[d] = struct{}{}
-	}
-	days := make([]int, 0, len(cl.days))
-	for d := range cl.days {
 		days = append(days, d)
 	}
 	sort.Ints(days)
-	return &Snapshot{c: cl, days: days, byAddr: byAddr}
+	return &Snapshot{c: cl, days: days}
 }
 
 // Corpus exposes the frozen copy for the full batch API (TimeSeries,
@@ -99,10 +82,20 @@ func (s *Snapshot) Days() []int { return s.days }
 func (s *Snapshot) NumIIDs() int { return s.c.NumIIDs() }
 
 // Observed resolves a response address ever seen in the corpus to its
-// IID — the address → device-history index.
+// IID — the address → device-history index. Records are keyed by their
+// responses' IID, so only that one record's observations are searched.
 func (s *Snapshot) Observed(a ip6.Addr) (IID, bool) {
-	iid, ok := s.byAddr[a]
-	return iid, ok
+	iid := IID(a.IID())
+	rec, ok := s.c.iids[iid]
+	if !ok {
+		return 0, false
+	}
+	for i := range rec.Days {
+		if rec.Days[i].Resp == a {
+			return iid, true
+		}
+	}
+	return 0, false
 }
 
 // OUICount is one vendor-census row: how many distinct devices carry

@@ -3,6 +3,7 @@ package scentd_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
 	"encoding/json"
 	"fmt"
 	"net"
@@ -770,5 +771,62 @@ func TestScentdTrackDedicatedEnv(t *testing.T) {
 			(d.Found && got.Addr != d.Addr.String()) {
 			t.Errorf("track day %d: served %+v vs direct %+v", i, got, d)
 		}
+	}
+}
+
+// journalPinDay feeds one day of the journal-pin fixture. Each of six
+// devices answers from a day-dependent /64; every third device also
+// answers from the next /64 the same day (a mid-scan rotation, so one
+// IID carries two observations in one segment); one EUI-64 device sits
+// outside the RIB (origin AS 0); and a non-EUI-64 responder moves only
+// the counters.
+func journalPinDay(day int, record func(target, from ip6.Addr), addProbes func(uint64)) {
+	for d := 5; d >= 0; d-- {
+		a := fixtureAddr(d, (d+day)%7)
+		record(a, a)
+		record(ip6.MustParsePrefix(fmt.Sprintf("2001:16b8:%x::/64", 0x200+d+day)).Addr().WithIID(a.IID()), a)
+		if (d+day)%3 == 0 {
+			b := fixtureAddr(d, (d+day+1)%7)
+			record(b, b)
+		}
+	}
+	unrouted := ip6.MustParsePrefix(fmt.Sprintf("2001:db8:%x::/64", day)).Addr().WithIID(fixtureAddr(9, 0).IID())
+	record(unrouted, unrouted)
+	plain := ip6.MustParseAddr(fmt.Sprintf("2001:16b8:300::%x", day+1))
+	record(plain, plain)
+	addProbes(uint64(40 + day))
+}
+
+// TestStoreJournalBytesPinned pins the journal a store writes, byte for
+// byte: a fixed 3-day ingestion must produce exactly the file whose
+// SHA-256 is recorded here. Old journals must replay and new ones must
+// stay readable by older binaries, so how a day segment is produced may
+// change but not one byte of what it contains.
+func TestStoreJournalBytesPinned(t *testing.T) {
+	const want = "1e04eb5286b363016dc95124cc213263f58d34a66103eabf9f5671bd54a33adb"
+	path := filepath.Join(t.TempDir(), "pin.journal")
+	st, err := scentd.OpenStore(path, fixtureRIB())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for day := 0; day < 3; day++ {
+		di, err := st.BeginDay(day)
+		if err != nil {
+			t.Fatal(err)
+		}
+		journalPinDay(day, di.Record, di.AddProbes)
+		if err := di.Commit(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(raw)); got != want {
+		t.Errorf("journal SHA-256 = %s, want %s; journal:\n%s", got, want, raw)
 	}
 }

@@ -11,7 +11,7 @@
 // journal append, and counter deltas are all complete. Every answer is
 // therefore byte-identical to the batch computation over the snapshot's
 // day set — the snapshot *is* that batch computation, over a frozen
-// deep copy.
+// view that shares the corpus's committed (append-only) observations.
 package scentd
 
 import (
@@ -212,7 +212,7 @@ func (d *DayIngest) Commit() error {
 		sd.Record(r.target, r.from)
 	}
 	sd.AddProbes(d.probes)
-	sd.Commit()
+	obs := sd.Commit()
 	probes, responses := s.c.Totals()
 	total, eui := s.c.UniqueAddrs()
 	meta := core.DaySegmentMeta{
@@ -221,7 +221,7 @@ func (d *DayIngest) Commit() error {
 		NewTotalAddrs: total - total0,
 		NewEUIAddrs:   eui - eui0,
 	}
-	err := s.c.SaveDay(s.f, d.day, meta)
+	err := core.WriteDaySegment(s.f, d.day, meta, obs)
 	if err == nil {
 		err = s.f.Sync()
 	}
