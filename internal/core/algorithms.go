@@ -47,28 +47,48 @@ func (c *Corpus) AllocationSamples(day int) []AllocationSample {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	var out []AllocationSample
+	var widest []allocDay
 	for _, iid := range c.sortedIIDsLocked() {
-		rec := c.iids[iid]
-		// A device may appear in several prefixes on one day (rotation
-		// mid-scan); take the widest same-response span, which is the
-		// conservative reading of Algorithm 1's per-EUI target map.
-		best := -1
-		var asn uint32
-		for i := range rec.Days {
-			d := &rec.Days[i]
-			if d.Day != day {
-				continue
+		widest = c.iids[iid].widestSpans(widest[:0])
+		for _, w := range widest {
+			if w.day == day {
+				out = append(out, AllocationSample{IID: iid, ASN: w.asn, Bits: prefixFromSpan(w.bits)})
 			}
-			if b := spanBits(d.MinTargetHi, d.MaxTargetHi); b > best {
-				best = b
-				asn = d.ASN
-			}
-		}
-		if best >= 0 {
-			out = append(out, AllocationSample{IID: iid, ASN: asn, Bits: prefixFromSpan(best)})
 		}
 	}
 	return out
+}
+
+// allocDay is one device-day's widest same-response target span, in
+// bits, and the origin AS of the observation that first reached it.
+type allocDay struct {
+	day, bits int
+	asn       uint32
+}
+
+// widestSpans appends to dst one allocDay per distinct day in r.Days, in
+// order of first appearance. A device may appear in several prefixes on
+// one day (rotation mid-scan); taking the widest same-response span is
+// the conservative reading of Algorithm 1's per-EUI target map.
+func (r *IIDRecord) widestSpans(dst []allocDay) []allocDay {
+	first := len(dst)
+	for i := range r.Days {
+		d := &r.Days[i]
+		b := spanBits(d.MinTargetHi, d.MaxTargetHi)
+		// Days are chronological, so a day seen before is usually the
+		// last one appended: search from the end.
+		j := len(dst) - 1
+		for j >= first && dst[j].day != d.Day {
+			j--
+		}
+		switch {
+		case j < first:
+			dst = append(dst, allocDay{day: d.Day, bits: b, asn: d.ASN})
+		case b > dst[j].bits:
+			dst[j].bits, dst[j].asn = b, d.ASN
+		}
+	}
+	return dst
 }
 
 // AllocationSizeByAS runs Algorithm 1 in full for one scan day: the
@@ -100,14 +120,19 @@ func (c *Corpus) PoolSamples() []PoolSample {
 	defer c.mu.RUnlock()
 	var out []PoolSample
 	for _, iid := range c.sortedIIDsLocked() {
-		rec := c.iids[iid]
-		out = append(out, PoolSample{
-			IID:  iid,
-			ASN:  c.primaryASNLocked(rec),
-			Bits: prefixFromSpan(spanBits(rec.MinRespHi, rec.MaxRespHi)),
-		})
+		out = append(out, c.poolSampleLocked(c.iids[iid]))
 	}
 	return out
+}
+
+// poolSampleLocked is Algorithm 2's per-device step for one record;
+// caller holds c.mu.
+func (c *Corpus) poolSampleLocked(rec *IIDRecord) PoolSample {
+	return PoolSample{
+		IID:  rec.IID,
+		ASN:  c.primaryASNLocked(rec),
+		Bits: prefixFromSpan(spanBits(rec.MinRespHi, rec.MaxRespHi)),
+	}
 }
 
 // PoolSizeByAS runs Algorithm 2 in full: the per-AS median of the

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -306,25 +307,17 @@ func (p *Pipeline) detectRotation(ctx context.Context, res *DiscoveryResult, tra
 	if err != nil {
 		return err
 	}
-	snapshot := func() (map[ip6.Addr]ip6.Addr, error) {
-		shards := make([]map[ip6.Addr]ip6.Addr, len(track.shards))
-		for w := range shards {
-			shards[w] = map[ip6.Addr]ip6.Addr{}
-		}
+	bases := rotationBases(res.HighDensity)
+	snapshot := func() (*rotationPass, error) {
+		pass := newRotationPass(bases, len(track.shards))
 		// Identical salt both passes: identical probe order and target
 		// IIDs, the paper's "same zmap random seed".
 		stats, err := p.scan(ctx, ts, p.Salt^0xc3, func(r zmap.Result) {
 			track.see(r.Worker, r.From)
-			shards[r.Worker][r.Target] = r.From
+			pass.record(r.Worker, r.Target, r.From)
 		})
 		res.ProbesSent += stats.Sent
-		pairs := shards[0]
-		for _, s := range shards[1:] {
-			for t, from := range s {
-				pairs[t] = from
-			}
-		}
-		return pairs, err
+		return pass, err
 	}
 	s1, err := snapshot()
 	if err != nil {
@@ -335,35 +328,82 @@ func (p *Pipeline) detectRotation(ctx context.Context, res *DiscoveryResult, tra
 	if err != nil {
 		return err
 	}
-
-	changed := map[ip6.Prefix]struct{}{}
-	mark := func(target ip6.Addr, a, b ip6.Addr, okA, okB bool) {
-		// Keep only pairs where an EUI-64 address is involved in either
-		// snapshot; drop pairs common to both scans.
-		euiA := okA && ip6.AddrIsEUI64(a)
-		euiB := okB && ip6.AddrIsEUI64(b)
-		if !euiA && !euiB {
-			return
-		}
-		if okA && okB && a == b {
-			return
-		}
-		changed[target.TruncateTo(48)] = struct{}{}
-	}
-	for t, a := range s1 {
-		b, ok := s2[t]
-		mark(t, a, b, true, ok)
-	}
-	for t, b := range s2 {
-		if _, ok := s1[t]; !ok {
-			mark(t, ip6.Addr{}, b, false, true)
-		}
-	}
-	for p48 := range changed {
-		res.Rotating48s = append(res.Rotating48s, p48)
-	}
-	sortPrefixes(res.Rotating48s)
+	res.Rotating48s = rotating48s(res.HighDensity, s1, s2)
 	return nil
+}
+
+// rotationBases keys each scanned /48 by its upper 48 bits. high is
+// sorted (classifyDensity walks the sorted Validated48s), so the keys
+// ascend and a target's /48 is found by binary search.
+func rotationBases(high []ip6.Prefix) []uint64 {
+	bases := make([]uint64, len(high))
+	for i, p48 := range high {
+		bases[i] = p48.Addr().High64() >> 16
+	}
+	return bases
+}
+
+// rotationPass is one §4.3 scan's ⟨target, response⟩ pairs, indexed by
+// target position: the index of the target's /48 in the scanned list,
+// shifted left 16, OR'd with the target's /64 within that /48. A full
+// /64 scan sends exactly one target per position. Each scan worker
+// writes only its own array, and one worker's handler calls are
+// serialized, so recording takes no lock and a pass needs no merge.
+// The zero Addr means no response. A pass holds 16 B × positions ×
+// workers.
+type rotationPass struct {
+	bases  []uint64     // from rotationBases
+	shards [][]ip6.Addr // [worker][position]
+}
+
+func newRotationPass(bases []uint64, workers int) *rotationPass {
+	p := &rotationPass{bases: bases, shards: make([][]ip6.Addr, workers)}
+	for w := range p.shards {
+		p.shards[w] = make([]ip6.Addr, len(bases)<<16)
+	}
+	return p
+}
+
+// record stores from as worker's response to target. A target outside
+// the scanned /48s can only be a forged response that passed the 16-bit
+// validation field; it has no position and is dropped.
+func (p *rotationPass) record(worker int, target, from ip6.Addr) {
+	hi := target.High64()
+	i, ok := slices.BinarySearch(p.bases, hi>>16)
+	if !ok {
+		return
+	}
+	p.shards[worker][i<<16|int(hi&0xffff)] = from
+}
+
+// at is the pass's response at pos: the non-zero entry of the highest
+// worker, the precedence a merge in worker order (a later shard
+// overwrites an earlier one) gives.
+func (p *rotationPass) at(pos int) ip6.Addr {
+	for w := len(p.shards) - 1; w >= 0; w-- {
+		if a := p.shards[w][pos]; !a.IsZero() {
+			return a
+		}
+	}
+	return ip6.Addr{}
+}
+
+// rotating48s diffs two passes over the same /48s. A /48 rotates when
+// some position's responses differ and either one is EUI-64: pairs
+// common to both scans, and changes among non-EUI responders only, say
+// nothing about rotation. The result keeps high's (sorted) order.
+func rotating48s(high []ip6.Prefix, s1, s2 *rotationPass) []ip6.Prefix {
+	var out []ip6.Prefix
+	for i, p48 := range high {
+		for pos := i << 16; pos < (i+1)<<16; pos++ {
+			a, b := s1.at(pos), s2.at(pos)
+			if a != b && (ip6.AddrIsEUI64(a) || ip6.AddrIsEUI64(b)) {
+				out = append(out, p48)
+				break
+			}
+		}
+	}
+	return out
 }
 
 // Table1Row is one line of the paper's Table 1.

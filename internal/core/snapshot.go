@@ -108,16 +108,16 @@ type OUICount struct {
 // VendorCensus counts devices per vendor OUI, optionally restricted to
 // devices observed inside pool (zero Prefix = whole corpus). Rows are
 // sorted by descending population, ties by OUI, so the census is
-// deterministic.
+// deterministic. The counts do not depend on the order records are
+// visited in, so the records are walked unsorted.
 func (s *Snapshot) VendorCensus(pool ip6.Prefix) []OUICount {
 	counts := map[ip6.OUI]int{}
-	for _, iid := range s.c.IIDs() {
+	for iid, rec := range s.c.iids {
 		mac, ok := ip6.MACFromEUI64(uint64(iid))
 		if !ok {
 			continue
 		}
 		if !pool.IsZero() {
-			rec := s.c.iids[iid]
 			in := false
 			for i := range rec.Days {
 				if pool.Contains(rec.Days[i].Resp) {
@@ -146,15 +146,25 @@ func (s *Snapshot) VendorCensus(pool ip6.Prefix) []OUICount {
 
 // infer runs the Algorithm 1/2 batch inferences once per snapshot:
 // allocation samples pooled over every captured day, pool samples over
-// the whole corpus, both reduced to per-AS medians.
+// the whole corpus, both reduced to per-AS medians. It equals
+// AllocationSizeByAS over every day's AllocationSamples and
+// PoolSizeByAS(PoolSamples()), in one unsorted pass over the records: a
+// median does not depend on sample order, and every observation's day
+// is a captured day (Commit records both).
 func (s *Snapshot) infer() {
 	s.inferOnce.Do(func() {
 		var alloc []AllocationSample
-		for _, day := range s.days {
-			alloc = append(alloc, s.c.AllocationSamples(day)...)
+		pool := make([]PoolSample, 0, len(s.c.iids))
+		var widest []allocDay
+		for iid, rec := range s.c.iids {
+			widest = rec.widestSpans(widest[:0])
+			for _, w := range widest {
+				alloc = append(alloc, AllocationSample{IID: iid, ASN: w.asn, Bits: prefixFromSpan(w.bits)})
+			}
+			pool = append(pool, s.c.poolSampleLocked(rec))
 		}
 		s.allocByAS = AllocationSizeByAS(alloc)
-		s.poolByAS = PoolSizeByAS(s.c.PoolSamples())
+		s.poolByAS = PoolSizeByAS(pool)
 	})
 }
 

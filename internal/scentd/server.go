@@ -67,11 +67,11 @@ type TrackSession struct {
 	Wait    func(time.Duration)
 }
 
-// Serve accepts and handles connections until ctx is cancelled (the
-// listener is closed to unblock Accept). Each connection gets its own
-// goroutine; Serve returns after every handler has drained. The accept
-// loop is the shared internal/wire one, so scentd and the campaign
-// coordinator serve identically.
+// Serve accepts and handles connections until ctx is cancelled. Each
+// connection gets its own goroutine; Serve returns after every handler
+// has drained, which connected clients can delay only by a short grace
+// (see wire.Serve). The accept loop is the shared internal/wire one, so
+// scentd and the campaign coordinator serve identically.
 func (s *Server) Serve(ctx context.Context, ln net.Listener) error {
 	return wire.Serve(ctx, ln, s.handle, s.Logf)
 }

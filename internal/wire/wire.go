@@ -13,10 +13,13 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
+	"time"
 )
 
 // MaxFrame caps a single message. Far above any legal request and
@@ -68,24 +71,46 @@ func ReadFrame(r io.Reader, v any) error {
 	return nil
 }
 
+// drainGrace is how long a cancelled Serve keeps reading: a client
+// that polls, such as a campaign node waiting to hear that the campaign
+// is done, gets one more answer, and an idle or stalled client holds
+// Serve no longer than this.
+const drainGrace = 250 * time.Millisecond
+
 // Handler answers one connection's requests until EOF or error. It
 // runs on its own goroutine; returning nil means a clean close.
 type Handler func(ctx context.Context, conn net.Conn) error
 
-// Serve accepts and handles connections until ctx is cancelled (the
-// listener is closed to unblock Accept). Each connection gets its own
-// goroutine running h; Serve returns after every handler has drained.
+// Serve accepts and handles connections until ctx is cancelled. Each
+// connection gets its own goroutine running h; Serve returns after
+// every handler has drained. Cancelling ctx closes the listener and
+// gives every open connection drainGrace to send its next request: a
+// handler still waiting to read after that, on an idle client or one
+// stalled mid-frame, returns, while an answer being written completes.
 // A non-nil handler error is reported to logf (when set) rather than
 // tearing down the server — one misbehaving client must not take the
-// service with it.
+// service with it; a read timing out after cancellation is a clean
+// close, not an error.
 func Serve(ctx context.Context, ln net.Listener, h Handler, logf func(format string, args ...any)) error {
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex
+		conns    = map[net.Conn]struct{}{}
+		stopping time.Time // the read deadline once cancelled
+	)
 	defer wg.Wait()
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		<-ctx.Done()
 		ln.Close()
+		mu.Lock()
+		stopping = time.Now().Add(drainGrace)
+		for conn := range conns {
+			// An error means the connection is already closing.
+			_ = conn.SetReadDeadline(stopping)
+		}
+		mu.Unlock()
 	}()
 	for {
 		conn, err := ln.Accept()
@@ -95,13 +120,26 @@ func Serve(ctx context.Context, ln net.Listener, h Handler, logf func(format str
 			}
 			return fmt.Errorf("wire: accept: %w", err)
 		}
+		mu.Lock()
+		conns[conn] = struct{}{}
+		if !stopping.IsZero() {
+			_ = conn.SetReadDeadline(stopping)
+		}
+		mu.Unlock()
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			defer conn.Close()
-			if err := h(ctx, conn); err != nil && logf != nil {
-				logf("conn %s: %v", conn.RemoteAddr(), err)
+			defer func() {
+				mu.Lock()
+				delete(conns, conn)
+				mu.Unlock()
+				conn.Close()
+			}()
+			err := h(ctx, conn)
+			if err == nil || logf == nil || (ctx.Err() != nil && errors.Is(err, os.ErrDeadlineExceeded)) {
+				return
 			}
+			logf("conn %s: %v", conn.RemoteAddr(), err)
 		}()
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"strings"
@@ -133,5 +134,102 @@ func TestServeLifecycle(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Serve did not return after cancellation")
+	}
+}
+
+// TestServeReturnsWithOpenClients: cancelling Serve's context must not
+// wait for clients to hang up. An idle client and one that sent only a
+// frame header hold their handlers in a read; Serve must still return
+// within a second and log nothing. An answer being written when the
+// cancel came must reach its client, and so must the answer to a
+// request sent right after it (a polling client hearing that the
+// service is done).
+func TestServeReturnsWithOpenClients(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("listen: %v", err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	entered := make(chan struct{}, 3)
+	answering := make(chan struct{})
+	h := func(ctx context.Context, conn net.Conn) error {
+		entered <- struct{}{}
+		for {
+			var req payload
+			if err := ReadFrame(conn, &req); err != nil {
+				if errors.Is(err, io.EOF) {
+					return nil
+				}
+				return err
+			}
+			if req.Op == "slow" {
+				close(answering)
+				<-ctx.Done()
+			}
+			if err := WriteFrame(conn, req); err != nil {
+				return err
+			}
+		}
+	}
+	var mu sync.Mutex
+	var logged []string
+	logf := func(format string, args ...any) {
+		mu.Lock()
+		logged = append(logged, fmt.Sprintf(format, args...))
+		mu.Unlock()
+	}
+	served := make(chan error, 1)
+	go func() { served <- Serve(ctx, ln, h, logf) }()
+
+	dial := func() net.Conn {
+		conn, err := net.Dial("tcp", ln.Addr().String())
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { conn.Close() })
+		return conn
+	}
+	idle := dial()
+	var hdr [4]byte
+	binary.BigEndian.PutUint32(hdr[:], 16)
+	if _, err := dial().Write(hdr[:]); err != nil {
+		t.Fatalf("header write: %v", err)
+	}
+	slow := dial()
+	req := payload{Op: "slow", Body: "answered after cancel"}
+	if err := WriteFrame(slow, req); err != nil {
+		t.Fatalf("request write: %v", err)
+	}
+	for i := 0; i < 3; i++ {
+		<-entered
+	}
+	<-answering
+
+	cancel()
+	last := payload{Op: "echo", Body: "sent after cancel"}
+	if err := WriteFrame(idle, last); err != nil {
+		t.Fatalf("write after cancel: %v", err)
+	}
+	var echoed payload
+	if err := ReadFrame(idle, &echoed); err != nil || echoed != last {
+		t.Errorf("answer after cancel: got %+v, %v; want %+v", echoed, err, last)
+	}
+	select {
+	case err := <-served:
+		if err != nil {
+			t.Fatalf("Serve: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Serve did not return within 1s of cancellation with clients connected")
+	}
+	var got payload
+	if err := ReadFrame(slow, &got); err != nil || got != req {
+		t.Errorf("in-flight answer: got %+v, %v; want %+v", got, err, req)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(logged) > 0 {
+		t.Errorf("shutdown logged handler errors: %q", logged)
 	}
 }
